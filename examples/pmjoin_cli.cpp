@@ -333,8 +333,15 @@ int Run(const CliArgs& args) {
       r_data = GenRoadNetwork(args.n, args.seed);
       s_data = GenRoadNetwork(args.n, args.seed + 1);
     } else if (args.data == "clusters") {
-      r_data = GenCorrelatedClusters(args.n, args.dims, args.seed);
-      s_data = GenCorrelatedClusters(args.n, args.dims, args.seed + 1);
+      // One draw split in halves, so R and S share one cluster mixture
+      // (draws with different seeds come from disjoint mixtures and their
+      // join is empty). R is the same n records a single draw would give.
+      const VectorData all =
+          GenCorrelatedClusters(2 * args.n, args.dims, args.seed);
+      const auto mid = all.values.begin() + args.n * args.dims;
+      r_data.dims = s_data.dims = args.dims;
+      r_data.values.assign(all.values.begin(), mid);
+      s_data.values.assign(mid, all.values.end());
     } else {
       r_data = GenUniform(args.n, args.dims, args.seed);
       s_data = GenUniform(args.n, args.dims, args.seed + 1);

@@ -162,10 +162,12 @@ class PMJOIN_CAPABILITY("mutex") Mutex {
   }
 
   void Unlock() PMJOIN_RELEASE() {
-    raw_.unlock();
 #ifdef PMJOIN_PARANOID
+    // Before the unlock, which may let a waiter destroy this mutex (a
+    // WaitGroup going out of scope as soon as Wait returns).
     sync_internal::NoteRelease(rank_, name_);
 #endif
+    raw_.unlock();
   }
 
   uint32_t rank() const { return rank_; }

@@ -21,9 +21,9 @@ void JoinEntries(const JoinInput& input, std::span<const MatrixEntry> entries,
 
 namespace {
 
-/// Validates the next cluster index and computes its page set, mirroring
-/// the serial loop's per-cluster checks so both paths fail at the same
-/// point with the same status.
+/// Validates a cluster index and computes its page set. Shared by the join
+/// loop and the staging window so a bad cluster is rejected at the join
+/// loop's position with the same status either way.
 Status ValidateAndPageSet(const JoinInput& input,
                           const std::vector<Cluster>& clusters,
                           uint32_t index, uint32_t capacity,
@@ -34,44 +34,6 @@ Status ValidateAndPageSet(const JoinInput& input,
   if (pages->size() > capacity)
     return Status::BufferFull("cluster larger than buffer pool");
   return Status::OK();
-}
-
-/// True iff pinning `pages` now (with the current cluster still pinned)
-/// provably succeeds, charges the same simulated I/O, and evicts the same
-/// victims as pinning them at the serial position (after the current
-/// cluster is unpinned).
-///
-/// Why this is sufficient: Unpin changes no residency and no counters, so
-/// the hit/miss classification of `pages` — and hence the transfer/seek
-/// schedule over the miss set — is the same at both positions. The only
-/// state difference is that the serial pool's LRU list additionally holds
-/// the current cluster's pages *at its tail*. Victims pop from the front.
-///
-/// The victim supply, however, is not UnpinnedCount(): PinBatch pins the
-/// batch's resident pages *before* admitting any miss (and pins each
-/// admitted miss immediately), so a batch page that is resident-unpinned
-/// right now leaves the LRU list before the first eviction and can never
-/// be a victim of its own batch. Only evictable pages *outside* the batch
-/// count. If the evictions needed (resident + misses − capacity) fit in
-/// that supply, both runs evict the identical prefix of the shared
-/// non-batch LRU — and the pin cannot fail mid-batch (PinBatch failure is
-/// not state-neutral, so a failed early pin would already have diverged
-/// the accounting; see io/buffer_pool.h). Beyond the bound the serial run
-/// would draw victims from the current cluster's just-unpinned pages, so
-/// the caller defers the pin to the serial position instead.
-bool CanPrefetch(const BufferPool& pool, std::span<const PageId> pages) {
-  uint64_t misses = 0;
-  uint64_t batch_evictable = 0;
-  for (const PageId& pid : pages) {
-    if (!pool.Contains(pid))
-      ++misses;
-    else if (pool.IsEvictable(pid))
-      ++batch_evictable;
-  }
-  const uint64_t after = pool.ResidentCount() + misses;
-  const uint64_t evictions =
-      after > pool.capacity() ? after - pool.capacity() : 0;
-  return evictions + batch_evictable <= pool.UnpinnedCount();
 }
 
 /// The seek-optimal physical read schedule of `pages`'s non-resident
@@ -94,11 +56,7 @@ std::vector<PageRun> MissRuns(BufferPool* pool,
 /// physically reads them into staging buffers while earlier clusters are
 /// joined. The schedule is split into one contiguous slice per reader
 /// thread, so multiple I/O threads share a cluster's reads while each
-/// slice stays in seek-optimal order. (Deliberately no fadvise hint on
-/// this path: the reader threads issue the reads themselves, and an
-/// additional WILLNEED readahead measurably competes with them for CPU;
-/// the hint path serves the synchronous pin-early prefetch, which has no
-/// reader thread working for it.)
+/// slice stays in seek-optimal order.
 /// Ledger-neutral: staging charges no modeled I/O — consumption happens
 /// inside the later PinBatch at its usual position, where the base
 /// backend applies the identical accounting the synchronous read would
@@ -188,173 +146,65 @@ class StagingWindow {
   size_t next_ = 0;
 };
 
-/// The serial §8 loop: read each cluster's page set with the seek-optimal
-/// schedule, join its marked entries in memory, release the pins. With an
-/// async reader, the next cluster's physical reads are staged right after
-/// this cluster's pins land, so they proceed while the entries join.
-Status ExecuteSerial(const JoinInput& input,
-                     const std::vector<Cluster>& clusters,
-                     std::span<const uint32_t> order, BufferPool* pool,
-                     PairSink* sink, OpCounters* ops, AsyncReader* reader,
-                     std::vector<ClusterCharge>* charges) {
-  StagingWindow staging(input, clusters, order, pool, reader);
-  for (size_t i = 0; i < order.size(); ++i) {
-    const uint32_t index = order[i];
-    PMJOIN_SPAN_OPS_ARG("cluster", ops, index);
-    std::vector<PageId> pages;
-    PMJOIN_RETURN_IF_ERROR(ValidateAndPageSet(input, clusters, index,
-                                              pool->capacity(), &pages));
-    const IoStats io_before =
-        charges != nullptr ? pool->disk()->stats() : IoStats();
-    PMJOIN_RETURN_IF_ERROR(pool->PinBatch(pages));
-    if (charges != nullptr)
-      (*charges)[index].io += pool->disk()->stats().Delta(io_before);
-    staging.Advance(i);
-    const Cluster& cluster = clusters[index];
-    const OpCounters ops_before =
-        charges != nullptr && ops != nullptr ? *ops : OpCounters();
-    JoinEntries(input, cluster.entries, sink, ops);
-    if (charges != nullptr && ops != nullptr)
-      (*charges)[index].ops += ops->Delta(ops_before);
-    pool->UnpinBatch(pages);
-    // Phase boundary: the cluster's pins are released, the pool must be
-    // back in a self-consistent state (paranoid builds only).
-    PMJOIN_DCHECK_OK(pool->ValidateInvariants());
-  }
-  return Status::OK();
-}
+/// Joins a cluster's entries on a worker pool in contiguous chunks, chunk
+/// c into private shard c, then drains the shards in shard order, which
+/// reproduces the inline emission sequence, not just the set. Workers
+/// touch neither pool nor disk: they compute on pinned dataset memory and
+/// write only to their own shards.
+class ChunkedJoin {
+ public:
+  /// Runs on `shared` when non-null, else on a private pool of
+  /// `num_threads` workers.
+  ChunkedJoin(ThreadPool* shared, uint32_t num_threads)
+      : workers_(shared != nullptr ? shared : &owned_.emplace(num_threads)),
+        pair_shards_(workers_->size()),
+        op_shards_(workers_->size()) {}
+  ChunkedJoin(const ChunkedJoin&) = delete;
+  ChunkedJoin& operator=(const ChunkedJoin&) = delete;
 
-/// The parallel executor: workers join the current cluster's entries in
-/// contiguous chunks while the coordinator stages the next cluster's pages.
-///
-/// Invariants that keep every observable identical to ExecuteSerial:
-///  - Pool and disk are touched by the coordinator thread only; workers
-///    compute on dataset memory (pages pinned for the cluster they are
-///    joining) and write to private sink/counter shards.
-///  - Cluster k+1's pages are pinned early only when CanPrefetch proves
-///    the charged I/O and the eviction victims match the serial position;
-///    otherwise the pin happens exactly where the serial loop does it.
-///  - Chunks are contiguous subranges of the entry list assigned to shards
-///    in order, and shards are drained in shard order after the cluster's
-///    WaitGroup clears — reproducing the serial emission sequence, not
-///    just the set.
-Status ExecuteParallel(const JoinInput& input,
-                       const std::vector<Cluster>& clusters,
-                       std::span<const uint32_t> order, BufferPool* pool,
-                       PairSink* sink, OpCounters* ops,
-                       const ExecutorOptions& options, AsyncReader* reader) {
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* workers = options.thread_pool;
-  if (workers == nullptr) {
-    owned_pool.emplace(options.num_threads);
-    workers = &*owned_pool;
-  }
-  const uint32_t num_workers = workers->size();
-
-  ShardedPairSink pair_shards(num_workers);
-  ShardedOpCounters op_shards(num_workers);
-
-  std::vector<ClusterCharge>* const charges = options.cluster_charges;
-  StagingWindow staging(input, clusters, order, pool, reader);
-  std::vector<PageId> current;
-  PMJOIN_RETURN_IF_ERROR(ValidateAndPageSet(input, clusters, order[0],
-                                            pool->capacity(), &current));
-  const IoStats first_before =
-      charges != nullptr ? pool->disk()->stats() : IoStats();
-  PMJOIN_RETURN_IF_ERROR(pool->PinBatch(current));
-  if (charges != nullptr)
-    (*charges)[order[0]].io += pool->disk()->stats().Delta(first_before);
-
-  for (size_t i = 0; i < order.size(); ++i) {
-    PMJOIN_SPAN_OPS_ARG("cluster", ops, order[i]);
-    const Cluster& cluster = clusters[order[i]];
-    const size_t n = cluster.entries.size();
-    const uint32_t chunks = static_cast<uint32_t>(
-        std::min<size_t>(num_workers, n));
-
-    WaitGroup wg;
-    wg.Add(chunks);
+  /// Hands `entries` to the workers and returns at once. Finish must
+  /// follow before `input` or `entries` go away.
+  void Start(const JoinInput& input, std::span<const MatrixEntry> entries) {
+    const size_t n = entries.size();
+    const uint32_t chunks =
+        static_cast<uint32_t>(std::min<size_t>(workers_->size(), n));
+    done_.Add(chunks);
     for (uint32_t c = 0; c < chunks; ++c) {
       const size_t lo = n * c / chunks;
       const size_t hi = n * (c + 1) / chunks;
-      const std::span<const MatrixEntry> chunk(cluster.entries.data() + lo,
-                                               hi - lo);
-      PairSink* chunk_sink = pair_shards.shard(c);
-      OpCounters* chunk_ops = op_shards.shard(c);
-      workers->Submit([&input, &wg, chunk, chunk_sink, chunk_ops] {
+      const std::span<const MatrixEntry> chunk = entries.subspan(lo, hi - lo);
+      PairSink* chunk_sink = pair_shards_.shard(c);
+      OpCounters* chunk_ops = op_shards_.shard(c);
+      workers_->Submit([this, &input, chunk, chunk_sink, chunk_ops] {
         {
           // Scoped so the span's final read of *chunk_ops completes before
-          // Done() releases the chunk to the coordinator's drain.
+          // Done() releases the chunk to the drain.
           PMJOIN_SPAN_OPS("join_entries", chunk_ops);
           JoinEntries(input, chunk, chunk_sink, chunk_ops);
         }
-        wg.Done();
+        done_.Done();
       });
     }
-
-    // Prefetch stage: while the workers chew on cluster i, stage the
-    // upcoming clusters' pages. The async reader moves the physical bytes
-    // regardless (ledger-neutral); the feasibility gate still decides
-    // whether cluster i+1's pages may additionally be *pinned* early
-    // (accounting-neutral pin).
-    const bool have_next = i + 1 < order.size();
-    Status next_status;
-    std::vector<PageId> next;
-    bool next_pinned = false;
-    if (have_next) {
-      PMJOIN_SPAN_ARG("prefetch", order[i + 1]);
-      next_status = ValidateAndPageSet(input, clusters, order[i + 1],
-                                       pool->capacity(), &next);
-      if (next_status.ok()) {
-        const bool pin_early =
-            options.prefetch_next_cluster && CanPrefetch(*pool, next);
-        if (reader != nullptr) {
-          staging.Advance(i);
-        } else if (pin_early) {
-          // Kernel read-ahead hint for the accepted batch's miss runs.
-          for (const PageRun& run : MissRuns(pool, next)) {
-            pool->disk()->AdviseWillNeed(run.start, run.length);
-          }
-        }
-        if (pin_early) {
-          const IoStats io_before =
-              charges != nullptr ? pool->disk()->stats() : IoStats();
-          next_status = pool->PinBatch(next);
-          next_pinned = next_status.ok();
-          if (charges != nullptr && next_pinned)
-            (*charges)[order[i + 1]].io +=
-                pool->disk()->stats().Delta(io_before);
-        }
-      }
-    }
-
-    wg.Wait();
-    // The workers' shard totals are exactly cluster i's entry-join CPU:
-    // the shards were drained after the previous cluster and only this
-    // cluster's chunks have written to them since.
-    if (charges != nullptr) (*charges)[order[i]].ops += op_shards.Total();
-    op_shards.DrainInto(ops);
-    pair_shards.Drain(sink);
-    pool->UnpinBatch(current);
-    // Phase boundary: cluster i's pins are gone and its shards drained;
-    // only the (optional) prefetched batch may still hold pins.
-    PMJOIN_DCHECK_OK(pool->ValidateInvariants());
-
-    if (have_next) {
-      PMJOIN_RETURN_IF_ERROR(next_status);
-      if (!next_pinned) {
-        const IoStats io_before =
-            charges != nullptr ? pool->disk()->stats() : IoStats();
-        PMJOIN_RETURN_IF_ERROR(pool->PinBatch(next));
-        if (charges != nullptr)
-          (*charges)[order[i + 1]].io +=
-              pool->disk()->stats().Delta(io_before);
-      }
-      current = std::move(next);
-    }
   }
-  return Status::OK();
-}
+
+  /// Waits for the chunks, drains them into `sink`/`ops`, and returns
+  /// their join CPU. The shards were drained after the previous cluster,
+  /// so their totals are exactly this cluster's.
+  OpCounters Finish(PairSink* sink, OpCounters* ops) {
+    done_.Wait();
+    const OpCounters joined = op_shards_.Total();
+    op_shards_.DrainInto(ops);
+    pair_shards_.Drain(sink);
+    return joined;
+  }
+
+ private:
+  std::optional<ThreadPool> owned_;
+  ThreadPool* const workers_;
+  ShardedPairSink pair_shards_;
+  ShardedOpCounters op_shards_;
+  WaitGroup done_;
+};
 
 }  // namespace
 
@@ -387,13 +237,54 @@ Status ExecuteClusteredJoin(const JoinInput& input,
     cleanup.disk = pool->disk();
     reader.emplace(pool->disk(), options.io_threads);
   }
-  AsyncReader* reader_ptr = reader ? &*reader : nullptr;
+  // More than one worker joins each cluster in chunks; one worker joins
+  // inline, straight into `sink`/`ops`.
+  std::optional<ChunkedJoin> chunked;
+  if (options.num_threads > 1)
+    chunked.emplace(options.thread_pool, options.num_threads);
 
-  if (options.num_threads <= 1)
-    return ExecuteSerial(input, clusters, order, pool, sink, ops, reader_ptr,
-                         options.cluster_charges);
-  return ExecuteParallel(input, clusters, order, pool, sink, ops, options,
-                         reader_ptr);
+  // One pass per cluster: pin its pages at the serial position, let the
+  // staging window read ahead while the entries join, record the
+  // cluster's charges, release the pins.
+  std::vector<ClusterCharge>* const charges = options.cluster_charges;
+  StagingWindow staging(input, clusters, order, pool,
+                        reader ? &*reader : nullptr);
+  for (size_t i = 0; i < order.size(); ++i) {
+    const uint32_t index = order[i];
+    PMJOIN_SPAN_OPS_ARG("cluster", ops, index);
+    std::vector<PageId> pages;
+    PMJOIN_RETURN_IF_ERROR(ValidateAndPageSet(input, clusters, index,
+                                              pool->capacity(), &pages));
+    const IoStats io_before = pool->disk()->stats();
+    PMJOIN_RETURN_IF_ERROR(pool->PinBatch(pages));
+    const IoStats pin_io = pool->disk()->stats().Delta(io_before);
+
+    const std::vector<MatrixEntry>& entries = clusters[index].entries;
+    if (chunked) chunked->Start(input, entries);
+    // Read ahead while the workers join (with one worker, just before the
+    // inline join).
+    staging.Advance(i);
+    OpCounters join_ops;
+    if (chunked) {
+      join_ops = chunked->Finish(sink, ops);
+    } else {
+      const OpCounters ops_before = ops != nullptr ? *ops : OpCounters();
+      {
+        PMJOIN_SPAN_OPS("join_entries", ops);
+        JoinEntries(input, entries, sink, ops);
+      }
+      if (ops != nullptr) join_ops = ops->Delta(ops_before);
+    }
+    if (charges != nullptr) {
+      (*charges)[index].io += pin_io;
+      (*charges)[index].ops += join_ops;
+    }
+    pool->UnpinBatch(pages);
+    // Phase boundary: the cluster's pins are released, the pool must be
+    // back in a self-consistent state (paranoid builds only).
+    PMJOIN_DCHECK_OK(pool->ValidateInvariants());
+  }
+  return Status::OK();
 }
 
 }  // namespace pmjoin

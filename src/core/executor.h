@@ -20,21 +20,12 @@ namespace pmjoin {
 /// unchanged.
 struct ExecutorOptions {
   /// Worker threads joining a cluster's marked entries. 1 (the default)
-  /// runs the serial §8 loop on the calling thread. With n > 1, each
-  /// cluster's entry list is split into n contiguous chunks joined
-  /// concurrently; results and CPU counters are gathered from per-thread
-  /// shards in chunk order, so the emitted pair sequence and the
-  /// aggregated `OpCounters` are identical to the serial run's.
+  /// joins them inline on the calling thread. With n > 1, each cluster's
+  /// entry list is split into n contiguous chunks joined concurrently;
+  /// results and CPU counters are gathered from per-thread shards in chunk
+  /// order, so the emitted pair sequence and the aggregated `OpCounters`
+  /// are identical to the inline run's.
   uint32_t num_threads = 1;
-
-  /// Overlap I/O with computation: while workers join cluster k, the
-  /// coordinator pins cluster k+1's non-resident pages through the buffer
-  /// pool (in the same seek-optimal schedule order the serial run would
-  /// use). Only applied when a feasibility check proves the eviction
-  /// sequence — and therefore the simulated `IoStats` — stays byte-
-  /// identical to the serial run; otherwise that step falls back to the
-  /// serial read position. Ignored when num_threads == 1.
-  bool prefetch_next_cluster = true;
 
   /// Optional externally owned pool of workers to reuse across calls
   /// (must have >= 1 thread). When null and num_threads > 1, the call
@@ -49,20 +40,18 @@ struct ExecutorOptions {
   /// normal PinBatch at its usual position. Ledger-neutral by
   /// construction: the modeled IoStats are charged at consumption exactly
   /// as in the synchronous run; only the wall-clock timing of the bytes
-  /// changes. Independent of num_threads (works with the serial executor)
-  /// and of prefetch_next_cluster (the feasibility gate still decides
-  /// whether pages are *pinned* early; staging never pins).
+  /// changes. Independent of num_threads. Staging never pins: every
+  /// cluster is pinned at its serial position.
   uint32_t io_threads = 0;
 
   /// When non-null, the executor records each cluster's exact charges
   /// into `(*cluster_charges)[cluster index]` (+=, so a caller can
   /// accumulate across calls): the modeled IoStats delta of the cluster's
-  /// PinBatch — wherever the prefetch machinery places it — and the
-  /// OpCounters delta of its entry joins. Attribution changes nothing
-  /// observable (the execution path is identical with or without it), and
-  /// it is exact: every modeled page the executor moves is pinned on
-  /// behalf of exactly one cluster, so the summed charges equal the
-  /// executor's I/O footprint field by field. Must be sized >=
+  /// PinBatch and the OpCounters delta of its entry joins. Attribution
+  /// changes nothing observable (the execution path is identical with or
+  /// without it), and it is exact: every modeled page the executor moves
+  /// is pinned on behalf of exactly one cluster, so the summed charges
+  /// equal the executor's I/O footprint field by field. Must be sized >=
   /// clusters.size(); the shard coordinator (core/shard_coordinator.h)
   /// folds the charges into per-shard totals by plan ownership.
   std::vector<ClusterCharge>* cluster_charges = nullptr;
@@ -70,8 +59,8 @@ struct ExecutorOptions {
 
 /// In-memory join of a range of marked entries: calls
 /// `input.joiner->JoinPages` for each entry in order. This is the entry-
-/// join kernel shared by the serial executor, each parallel worker's
-/// chunk, and pm-NLJ-style callers that already hold the pages resident.
+/// join kernel shared by the executor's inline path, each worker's chunk,
+/// and pm-NLJ-style callers that already hold the pages resident.
 /// The caller guarantees every referenced page is buffer-resident.
 void JoinEntries(const JoinInput& input, std::span<const MatrixEntry> entries,
                  PairSink* sink, OpCounters* ops);
@@ -87,10 +76,11 @@ void JoinEntries(const JoinInput& input, std::span<const MatrixEntry> entries,
 /// shuffled order for the random-SC baseline).
 ///
 /// With `options.num_threads > 1` the in-memory join of each cluster runs
-/// on a worker pool and the next cluster's pages are prefetched while it
-/// runs; the result-pair sequence, CPU counters, and simulated I/O stats
-/// are guaranteed identical to the serial execution (the disk-access
-/// sequence is preserved, keeping the Lemma 3–4 seek accounting intact).
+/// on a worker pool; with `options.io_threads > 0` upcoming clusters'
+/// pages are read ahead while it runs. Neither changes the disk-access
+/// sequence, so the result-pair sequence, CPU counters, and simulated I/O
+/// stats are identical to the one-worker synchronous run (the Lemma 3–4
+/// seek accounting stays intact).
 Status ExecuteClusteredJoin(const JoinInput& input,
                             const std::vector<Cluster>& clusters,
                             std::span<const uint32_t> order,

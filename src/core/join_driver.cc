@@ -1,8 +1,10 @@
 #include "core/join_driver.h"
 
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "baselines/bfrj.h"
@@ -83,8 +85,8 @@ obs::ShardSection ShardSectionOf(const JoinReport& report) {
 }
 
 const RStarTree* JoinDriver::SequencePageTree(
-    const void* store_key, const std::vector<Mbr>& page_mbrs) {
-  auto it = seq_trees_.find(store_key);
+    uint32_t file_id, const std::vector<Mbr>& page_mbrs) {
+  auto it = seq_trees_.find(file_id);
   if (it != seq_trees_.end()) return it->second.get();
   std::vector<RStarTree::Entry> leaves;
   leaves.reserve(page_mbrs.size());
@@ -95,7 +97,7 @@ const RStarTree* JoinDriver::SequencePageTree(
                              std::move(leaves)));
   tree->AttachFile(disk_, "seq-page-tree");
   const RStarTree* raw = tree.get();
-  seq_trees_.emplace(store_key, std::move(tree));
+  seq_trees_.emplace(file_id, std::move(tree));
   return raw;
 }
 
@@ -224,73 +226,90 @@ Status RunMatrixAlgorithm(const JoinInput& input,
   return Status::Internal("unknown algorithm");
 }
 
-}  // namespace
+/// What the one ε-join path needs from a data type. Everything else —
+/// matrix build or memo replay, clustering, scheduling, execution, BFRJ
+/// and the report — is type-independent.
+struct EpsJoinSource {
+  /// Page files, page counts, self-join flag and the type's joiner.
+  JoinInput input;
+  /// Per-page MBRs the flat matrix build sweeps.
+  const std::vector<Mbr>* r_mbrs = nullptr;
+  const std::vector<Mbr>* s_mbrs = nullptr;
+  /// Each side's page tree, built on first use (hierarchical matrix build
+  /// and BFRJ only).
+  std::function<const RStarTree*()> r_tree;
+  std::function<const RStarTree*()> s_tree;
+  /// Page-level predicate: pages may join iff their MBRs lie within
+  /// `threshold` under `norm`.
+  double threshold = 0.0;
+  Norm norm = Norm::kL2;
+  /// The type's EGO (or, for vectors, PBSM) join; options.algorithm says
+  /// which.
+  std::function<Status(BufferPool*, PairSink*, OpCounters*)> grid_join;
 
-Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
-                                         const VectorDataset& s, double eps,
-                                         const JoinOptions& options,
-                                         PairSink* sink) {
-  return RunVector(r, s, eps, options, sink, JoinResources());
+  /// The (R, S) page trees; a self join's S tree is its R tree.
+  std::pair<const RStarTree*, const RStarTree*> Trees() const {
+    const RStarTree* r = r_tree();
+    return {r, input.self_join ? r : s_tree()};
+  }
+};
+
+/// Fills the run totals once `ops` is final: the I/O since `io_before`,
+/// the modeled seconds, and the shard ledger's unattributed remainder.
+JoinReport FinishReport(JoinReport report, const StorageBackend& disk,
+                        const IoStats& io_before, const OpCounters& ops,
+                        const CpuCostModel& cpu_model) {
+  report.io = disk.stats().Delta(io_before);
+  report.ops = ops;
+  report.io_seconds = report.io.ModeledSeconds(disk.model());
+  report.cpu_join_seconds = cpu_model.JoinSeconds(ops);
+  report.preprocess_seconds = cpu_model.PreprocessSeconds(ops);
+  report.result_pairs = ops.result_pairs;
+  FinalizeShardLedger(&report);
+  return report;
 }
 
-Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
-                                         const VectorDataset& s, double eps,
-                                         const JoinOptions& options,
-                                         PairSink* sink,
-                                         const JoinResources& resources) {
-  if (r.dims() != s.dims())
-    return Status::InvalidArgument("RunVector: dimension mismatch");
+/// The ε-join of every data type: EGO/PBSM through the source's own call,
+/// BFRJ over the page trees, or the paper's pipeline — prediction matrix
+/// (built, or replayed from `resources`), then NLJ / pm-NLJ / SC / CC.
+Result<JoinReport> RunEpsJoin(const EpsJoinSource& source,
+                              const JoinOptions& options,
+                              const JoinResources& resources,
+                              StorageBackend* disk,
+                              const CpuCostModel& cpu_model, PairSink* sink) {
   if (options.algorithm == Algorithm::kKnn)
     return Status::InvalidArgument(
-        "RunVector: kNN is a separate query type (RunKnnJoin)");
-  const bool matrix_algorithm = options.algorithm == Algorithm::kNlj ||
-                                options.algorithm == Algorithm::kPmNlj ||
-                                options.algorithm == Algorithm::kRandomSc ||
-                                options.algorithm == Algorithm::kSc ||
-                                options.algorithm == Algorithm::kCc;
-  if (!matrix_algorithm &&
+        "ε-join: kNN is a separate query type (RunKnnJoin)");
+  const bool grid = options.algorithm == Algorithm::kEgo ||
+                    options.algorithm == Algorithm::kPbsm;
+  if ((grid || options.algorithm == Algorithm::kBfrj) &&
       (resources.matrix != nullptr || resources.shared_pool != nullptr))
     return Status::InvalidArgument(
-        "RunVector: cached resources supplied for a non-matrix algorithm");
+        "ε-join: cached resources supplied for a non-matrix algorithm");
   if (resources.shared_pool != nullptr &&
       resources.shared_pool->capacity() < options.buffer_pages)
     return Status::InvalidArgument(
-        "RunVector: shared pool smaller than options.buffer_pages");
-  const bool self = &r == &s;
-  VectorPairJoiner joiner(&r, &s, eps, options.norm, self);
-  JoinInput input;
-  input.r_file = r.file_id();
-  input.s_file = s.file_id();
-  input.r_pages = r.num_pages();
-  input.s_pages = s.num_pages();
-  input.self_join = self;
-  input.joiner = &joiner;
+        "ε-join: shared pool smaller than options.buffer_pages");
+  const JoinInput& input = source.input;
 
-  const IoStats io_before = disk_->stats();
+  const IoStats io_before = disk->stats();
   OpCounters ops;
   JoinReport report;
   report.algorithm = options.algorithm;
   PMJOIN_SPAN_OPS("join", &ops);
 
   Status st;
-  if (options.algorithm == Algorithm::kEgo) {
-    PMJOIN_SPAN_OPS("ego", &ops);
-    BufferPool pool(disk_, options.buffer_pages);
-    st = EgoJoinVectors(r, s, self, eps, options.norm, disk_, &pool, sink,
-                        &ops);
+  if (grid) {
+    PMJOIN_SPAN_OPS(options.algorithm == Algorithm::kEgo ? "ego" : "pbsm",
+                    &ops);
+    BufferPool pool(disk, options.buffer_pages);
+    st = source.grid_join(&pool, sink, &ops);
   } else if (options.algorithm == Algorithm::kBfrj) {
-    if (!r.tree().file_id().has_value() || !s.tree().file_id().has_value())
-      return Status::InvalidArgument(
-          "BFRJ: dataset trees lack node files (rebuild datasets)");
     PMJOIN_SPAN_OPS("bfrj", &ops);
-    BufferPool pool(disk_, options.buffer_pages);
-    st = BfrjJoin(r.tree(), s.tree(), input, eps, options.norm,
-                  options.page_size_bytes, disk_, &pool, sink, &ops);
-  } else if (options.algorithm == Algorithm::kPbsm) {
-    PMJOIN_SPAN_OPS("pbsm", &ops);
-    BufferPool pool(disk_, options.buffer_pages);
-    st = PbsmJoinVectors(r, s, self, eps, options.norm, disk_, &pool, sink,
-                         &ops);
+    const auto [r_tree, s_tree] = source.Trees();
+    BufferPool pool(disk, options.buffer_pages);
+    st = BfrjJoin(*r_tree, *s_tree, input, source.threshold, source.norm,
+                  options.page_size_bytes, disk, &pool, sink, &ops);
   } else {
     // Oracle for NLJ is built uncharged; pm algorithms charge the build.
     OpCounters* build_ops =
@@ -298,13 +317,16 @@ Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
     std::optional<PredictionMatrix> built;
     const PredictionMatrix* matrix = resources.matrix;
     if (matrix == nullptr) {
-      built = options.hierarchical_matrix
-                  ? BuildPredictionMatrixHierarchical(
-                        r.tree(), s.tree(), r.num_pages(), s.num_pages(),
-                        eps, options.norm, options.filter_iterations,
-                        build_ops)
-                  : BuildPredictionMatrixFlat(r.page_mbrs(), s.page_mbrs(),
-                                              eps, options.norm, build_ops);
+      if (options.hierarchical_matrix) {
+        const auto [r_tree, s_tree] = source.Trees();
+        built = BuildPredictionMatrixHierarchical(
+            *r_tree, *s_tree, input.r_pages, input.s_pages, source.threshold,
+            source.norm, options.filter_iterations, build_ops);
+      } else {
+        built = BuildPredictionMatrixFlat(*source.r_mbrs, *source.s_mbrs,
+                                          source.threshold, source.norm,
+                                          build_ops);
+      }
       matrix = &*built;
     } else if (build_ops != nullptr &&
                resources.matrix_build_ops != nullptr) {
@@ -321,19 +343,87 @@ Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
     // the matrix must be finalized and structurally sound before any
     // operator consumes it.
     PMJOIN_DCHECK_OK(matrix->ValidateInvariants());
-    st = RunMatrixAlgorithm(input, *matrix, options, disk_->model(), disk_,
+    st = RunMatrixAlgorithm(input, *matrix, options, disk->model(), disk,
                             sink, &ops, &report, resources.shared_pool);
   }
   if (!st.ok()) return st;
+  return FinishReport(std::move(report), *disk, io_before, ops, cpu_model);
+}
 
-  report.io = disk_->stats().Delta(io_before);
-  report.ops = ops;
-  report.io_seconds = report.io.ModeledSeconds(disk_->model());
-  report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
-  report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
-  report.result_pairs = ops.result_pairs;
-  FinalizeShardLedger(&report);
-  return report;
+/// JoinInput for an R x S join with `joiner` (self join iff r is s).
+template <typename Data>
+JoinInput InputOf(const Data& r, const Data& s, uint32_t r_pages,
+                  uint32_t s_pages, PagePairJoiner* joiner) {
+  JoinInput input;
+  input.r_file = r.file_id();
+  input.s_file = s.file_id();
+  input.r_pages = r_pages;
+  input.s_pages = s_pages;
+  input.self_join = &r == &s;
+  input.joiner = joiner;
+  return input;
+}
+
+/// Source for a subsequence join, whose pages are summarized by MBRs and
+/// whose page trees come from the driver's cache through `page_tree`.
+template <typename Store, typename PageTree>
+EpsJoinSource SequenceSource(const Store& r, const Store& s,
+                             PagePairJoiner* joiner, double threshold,
+                             Norm norm, PageTree page_tree) {
+  EpsJoinSource source;
+  source.input = InputOf(r, s, r.layout().NumPages(), s.layout().NumPages(),
+                         joiner);
+  source.r_mbrs = &r.page_mbrs();
+  source.s_mbrs = &s.page_mbrs();
+  source.r_tree = [&r, page_tree] {
+    return page_tree(r.file_id(), r.page_mbrs());
+  };
+  source.s_tree = [&s, page_tree] {
+    return page_tree(s.file_id(), s.page_mbrs());
+  };
+  source.threshold = threshold;
+  source.norm = norm;
+  return source;
+}
+
+}  // namespace
+
+Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
+                                         const VectorDataset& s, double eps,
+                                         const JoinOptions& options,
+                                         PairSink* sink) {
+  return RunVector(r, s, eps, options, sink, JoinResources());
+}
+
+Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
+                                         const VectorDataset& s, double eps,
+                                         const JoinOptions& options,
+                                         PairSink* sink,
+                                         const JoinResources& resources) {
+  if (r.dims() != s.dims())
+    return Status::InvalidArgument("RunVector: dimension mismatch");
+  if (options.algorithm == Algorithm::kBfrj &&
+      (!r.tree().file_id().has_value() || !s.tree().file_id().has_value()))
+    return Status::InvalidArgument(
+        "BFRJ: dataset trees lack node files (rebuild datasets)");
+  const bool self = &r == &s;
+  VectorPairJoiner joiner(&r, &s, eps, options.norm, self);
+  EpsJoinSource source;
+  source.input = InputOf(r, s, r.num_pages(), s.num_pages(), &joiner);
+  source.r_mbrs = &r.page_mbrs();
+  source.s_mbrs = &s.page_mbrs();
+  source.r_tree = [&r] { return &r.tree(); };
+  source.s_tree = [&s] { return &s.tree(); };
+  source.threshold = eps;
+  source.norm = options.norm;
+  source.grid_join = [&](BufferPool* pool, PairSink* out, OpCounters* ops) {
+    return options.algorithm == Algorithm::kEgo
+               ? EgoJoinVectors(r, s, self, eps, options.norm, disk_, pool,
+                                out, ops)
+               : PbsmJoinVectors(r, s, self, eps, options.norm, disk_, pool,
+                                 out, ops);
+  };
+  return RunEpsJoin(source, options, resources, disk_, cpu_model_, sink);
 }
 
 Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
@@ -399,17 +489,13 @@ Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
   ShardPlan plan;
   std::vector<ClusterCharge> page_charges;
   if (options.shards > 1) {
-    JoinInput knn_input;
-    knn_input.r_file = r.file_id();
-    knn_input.s_file = s.file_id();
-    knn_input.r_pages = r.num_pages();
-    knn_input.s_pages = s.num_pages();
-    knn_input.self_join = knn_options.self_join;
     const std::vector<Cluster> units =
         KnnOwnershipClusters(*matrix, options.buffer_pages);
     {
       PMJOIN_SPAN("shard_plan");
-      plan = PlanShards(units, knn_input, options.shards);
+      plan = PlanShards(units,
+                        InputOf(r, s, r.num_pages(), s.num_pages(), nullptr),
+                        options.shards);
     }
     page_charges.resize(r.num_pages());
     knn_options.page_charges = &page_charges;
@@ -435,15 +521,7 @@ Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
     AttributeCharges(page_charges, &plan);
     FillShardReport(std::move(plan), &report);
   }
-
-  report.io = disk_->stats().Delta(io_before);
-  report.ops = ops;
-  report.io_seconds = report.io.ModeledSeconds(disk_->model());
-  report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
-  report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
-  report.result_pairs = ops.result_pairs;
-  FinalizeShardLedger(&report);
-  return report;
+  return FinishReport(std::move(report), *disk_, io_before, ops, cpu_model_);
 }
 
 Result<JoinReport> JoinDriver::RunTimeSeries(const TimeSeriesStore& r,
@@ -459,67 +537,16 @@ Result<JoinReport> JoinDriver::RunTimeSeries(const TimeSeriesStore& r,
         "reordered (paper 3)");
   const bool self = &r == &s;
   TimeSeriesPairJoiner joiner(&r, &s, eps, self);
-  JoinInput input;
-  input.r_file = r.file_id();
-  input.s_file = s.file_id();
-  input.r_pages = r.layout().NumPages();
-  input.s_pages = s.layout().NumPages();
-  input.self_join = self;
-  input.joiner = &joiner;
-
-  const IoStats io_before = disk_->stats();
-  OpCounters ops;
-  JoinReport report;
-  report.algorithm = options.algorithm;
-  PMJOIN_SPAN_OPS("join", &ops);
-
-  Status st;
-  if (options.algorithm == Algorithm::kEgo) {
-    PMJOIN_SPAN_OPS("ego", &ops);
-    BufferPool pool(disk_, options.buffer_pages);
-    st = EgoJoinTimeSeries(r, s, self, eps, disk_, &pool, sink, &ops);
-  } else if (options.algorithm == Algorithm::kBfrj) {
-    PMJOIN_SPAN_OPS("bfrj", &ops);
-    const RStarTree* rt = SequencePageTree(&r, r.page_mbrs());
-    const RStarTree* stree =
-        self ? rt : SequencePageTree(&s, s.page_mbrs());
-    BufferPool pool(disk_, options.buffer_pages);
-    st = BfrjJoin(*rt, *stree, input, joiner.MatrixThreshold(), Norm::kL2,
-                  options.page_size_bytes, disk_, &pool, sink, &ops);
-  } else {
-    OpCounters* build_ops =
-        options.algorithm == Algorithm::kNlj ? nullptr : &ops;
-    PredictionMatrix matrix =
-        options.hierarchical_matrix
-            ? BuildPredictionMatrixHierarchical(
-                  *SequencePageTree(&r, r.page_mbrs()),
-                  self ? *SequencePageTree(&r, r.page_mbrs())
-                       : *SequencePageTree(&s, s.page_mbrs()),
-                  input.r_pages, input.s_pages, joiner.MatrixThreshold(),
-                  Norm::kL2, options.filter_iterations, build_ops)
-            : BuildPredictionMatrixFlat(r.page_mbrs(), s.page_mbrs(),
-                                        joiner.MatrixThreshold(), Norm::kL2,
-                                        build_ops);
-    report.marked_entries = matrix.MarkedCount();
-    report.matrix_rows = matrix.rows();
-    report.matrix_cols = matrix.cols();
-    report.matrix_selectivity = matrix.Selectivity();
-    // Phase boundary (paranoid builds): the freshly built matrix must be
-    // finalized and structurally sound before any operator consumes it.
-    PMJOIN_DCHECK_OK(matrix.ValidateInvariants());
-    st = RunMatrixAlgorithm(input, matrix, options, disk_->model(), disk_,
-                            sink, &ops, &report, nullptr);
-  }
-  if (!st.ok()) return st;
-
-  report.io = disk_->stats().Delta(io_before);
-  report.ops = ops;
-  report.io_seconds = report.io.ModeledSeconds(disk_->model());
-  report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
-  report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
-  report.result_pairs = ops.result_pairs;
-  FinalizeShardLedger(&report);
-  return report;
+  EpsJoinSource source = SequenceSource(
+      r, s, &joiner, joiner.MatrixThreshold(), Norm::kL2,
+      [this](uint32_t file, const std::vector<Mbr>& mbrs) {
+        return SequencePageTree(file, mbrs);
+      });
+  source.grid_join = [&](BufferPool* pool, PairSink* out, OpCounters* ops) {
+    return EgoJoinTimeSeries(r, s, self, eps, disk_, pool, out, ops);
+  };
+  return RunEpsJoin(source, options, JoinResources(), disk_, cpu_model_,
+                    sink);
 }
 
 Result<JoinReport> JoinDriver::RunString(const StringSequenceStore& r,
@@ -535,67 +562,16 @@ Result<JoinReport> JoinDriver::RunString(const StringSequenceStore& r,
         "reordered (paper 3)");
   const bool self = &r == &s;
   StringPairJoiner joiner(&r, &s, max_edits, self);
-  JoinInput input;
-  input.r_file = r.file_id();
-  input.s_file = s.file_id();
-  input.r_pages = r.layout().NumPages();
-  input.s_pages = s.layout().NumPages();
-  input.self_join = self;
-  input.joiner = &joiner;
-
-  const IoStats io_before = disk_->stats();
-  OpCounters ops;
-  JoinReport report;
-  report.algorithm = options.algorithm;
-  PMJOIN_SPAN_OPS("join", &ops);
-
-  Status st;
-  if (options.algorithm == Algorithm::kEgo) {
-    PMJOIN_SPAN_OPS("ego", &ops);
-    BufferPool pool(disk_, options.buffer_pages);
-    st = EgoJoinStrings(r, s, self, max_edits, disk_, &pool, sink, &ops);
-  } else if (options.algorithm == Algorithm::kBfrj) {
-    PMJOIN_SPAN_OPS("bfrj", &ops);
-    const RStarTree* rt = SequencePageTree(&r, r.page_mbrs());
-    const RStarTree* stree =
-        self ? rt : SequencePageTree(&s, s.page_mbrs());
-    BufferPool pool(disk_, options.buffer_pages);
-    st = BfrjJoin(*rt, *stree, input, joiner.MatrixThreshold(), Norm::kL1,
-                  options.page_size_bytes, disk_, &pool, sink, &ops);
-  } else {
-    OpCounters* build_ops =
-        options.algorithm == Algorithm::kNlj ? nullptr : &ops;
-    PredictionMatrix matrix =
-        options.hierarchical_matrix
-            ? BuildPredictionMatrixHierarchical(
-                  *SequencePageTree(&r, r.page_mbrs()),
-                  self ? *SequencePageTree(&r, r.page_mbrs())
-                       : *SequencePageTree(&s, s.page_mbrs()),
-                  input.r_pages, input.s_pages, joiner.MatrixThreshold(),
-                  Norm::kL1, options.filter_iterations, build_ops)
-            : BuildPredictionMatrixFlat(r.page_mbrs(), s.page_mbrs(),
-                                        joiner.MatrixThreshold(), Norm::kL1,
-                                        build_ops);
-    report.marked_entries = matrix.MarkedCount();
-    report.matrix_rows = matrix.rows();
-    report.matrix_cols = matrix.cols();
-    report.matrix_selectivity = matrix.Selectivity();
-    // Phase boundary (paranoid builds): the freshly built matrix must be
-    // finalized and structurally sound before any operator consumes it.
-    PMJOIN_DCHECK_OK(matrix.ValidateInvariants());
-    st = RunMatrixAlgorithm(input, matrix, options, disk_->model(), disk_,
-                            sink, &ops, &report, nullptr);
-  }
-  if (!st.ok()) return st;
-
-  report.io = disk_->stats().Delta(io_before);
-  report.ops = ops;
-  report.io_seconds = report.io.ModeledSeconds(disk_->model());
-  report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
-  report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
-  report.result_pairs = ops.result_pairs;
-  FinalizeShardLedger(&report);
-  return report;
+  EpsJoinSource source = SequenceSource(
+      r, s, &joiner, joiner.MatrixThreshold(), Norm::kL1,
+      [this](uint32_t file, const std::vector<Mbr>& mbrs) {
+        return SequencePageTree(file, mbrs);
+      });
+  source.grid_join = [&](BufferPool* pool, PairSink* out, OpCounters* ops) {
+    return EgoJoinStrings(r, s, self, max_edits, disk_, pool, out, ops);
+  };
+  return RunEpsJoin(source, options, JoinResources(), disk_, cpu_model_,
+                    sink);
 }
 
 }  // namespace pmjoin

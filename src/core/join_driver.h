@@ -257,14 +257,17 @@ class JoinDriver {
   const CpuCostModel& cpu_model() const { return cpu_model_; }
 
  private:
-  /// Cached page tree for a sequence store (bulk-loaded over page MBRs,
-  /// node file attached for BFRJ I/O accounting).
-  const RStarTree* SequencePageTree(const void* store_key,
+  /// Cached page tree for the sequence store whose pages live in
+  /// `file_id` (bulk-loaded over page MBRs, node file attached for BFRJ
+  /// I/O accounting). Keyed by page file, not by store address: the
+  /// backend never reuses a file id, while a new store may reuse the
+  /// address of a destroyed one.
+  const RStarTree* SequencePageTree(uint32_t file_id,
                                     const std::vector<Mbr>& page_mbrs);
 
   StorageBackend* disk_;
   CpuCostModel cpu_model_;
-  std::unordered_map<const void*, std::unique_ptr<RStarTree>> seq_trees_;
+  std::unordered_map<uint32_t, std::unique_ptr<RStarTree>> seq_trees_;
 };
 
 }  // namespace pmjoin

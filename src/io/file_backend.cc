@@ -505,28 +505,6 @@ size_t FileBackend::StagedCount() const {
   return staging_.size();
 }
 
-void FileBackend::AdviseWillNeed(PageId pid, uint32_t count) {
-  if (count == 0 || pid.file >= handles_.size()) return;
-  if (handles_[pid.file].fd < 0) return;
-  if (pid.page >= num_pages(pid.file) ||
-      count > num_pages(pid.file) - pid.page)
-    return;
-#if defined(POSIX_FADV_WILLNEED)
-  int rc;
-  do {
-    rc = ::posix_fadvise(
-        handles_[pid.file].fd,
-        static_cast<off_t>(SlotOffset(page_size_bytes(), pid.page)),
-        static_cast<off_t>(uint64_t(count) * SlotBytes(page_size_bytes())),
-        POSIX_FADV_WILLNEED);
-  } while (rc == EINTR);
-  if (rc == 0) {
-    ++measured_.fadvise_calls;
-    PMJOIN_METRIC_COUNT("io.fadvise_calls", 1);
-  }
-#endif
-}
-
 Status FileBackend::DoWritePage(PageId pid, const uint8_t* payload,
                                 uint32_t payload_size) {
   PMJOIN_RETURN_IF_ERROR(FileStatus(pid.file));

@@ -89,8 +89,8 @@ class FileBackend final : public StorageBackend {
   /// staging table is guarded by `staging_mu_` (lock_rank::kIoStaging);
   /// the physical read and its metric mirrors always happen with the
   /// mutex released, so staging never nests a lock over the obs layer.
-  /// BeginStage / DropStaged / StagedCount / AdviseWillNeed are
-  /// coordinator-only; PerformStage is the one thread-safe entry point.
+  /// BeginStage / DropStaged / StagedCount are coordinator-only;
+  /// PerformStage is the one thread-safe entry point.
   /// Staging must not run concurrently with file creation or allocation
   /// (the executor only stages between joins of an already-built dataset).
   bool SupportsStaging() const override { return true; }
@@ -100,7 +100,6 @@ class FileBackend final : public StorageBackend {
       PMJOIN_EXCLUDES(staging_mu_);
   void DropStaged() override PMJOIN_EXCLUDES(staging_mu_);
   size_t StagedCount() const override PMJOIN_EXCLUDES(staging_mu_);
-  void AdviseWillNeed(PageId pid, uint32_t count) override;
 
  protected:
   void DoCreateFile(uint32_t file_id, std::string_view name,

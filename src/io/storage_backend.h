@@ -50,6 +50,9 @@ class StorageBackend {
     uint64_t write_bytes = 0;
     uint64_t sync_calls = 0;
     uint64_t checksum_checks = 0;
+    /// Always zero: no backend issues read-ahead hints (the async reader
+    /// is the only prefetch). Kept because perfbench/src/batch_workloads.cc
+    /// reads the field.
     uint64_t fadvise_calls = 0;
 
     /// Folds another counter set into this one (used to merge the
@@ -62,7 +65,6 @@ class StorageBackend {
       write_bytes += other.write_bytes;
       sync_calls += other.sync_calls;
       checksum_checks += other.checksum_checks;
-      fadvise_calls += other.fadvise_calls;
     }
   };
 
@@ -193,15 +195,6 @@ class StorageBackend {
   virtual void DropStaged() {}
   /// Number of runs currently registered (pending, in flight, or ready).
   virtual size_t StagedCount() const { return 0; }
-
-  /// Advises the OS that `count` pages starting at `pid` will be needed
-  /// soon (posix_fadvise WILLNEED where available; counted in
-  /// `MeasuredIo::fadvise_calls`). Purely a kernel read-ahead hint: no
-  /// modeled cost, no effect on results. Coordinator-only.
-  virtual void AdviseWillNeed(PageId pid, uint32_t count) {
-    (void)pid;
-    (void)count;
-  }
 
  protected:
   /// Physical hooks. The base class validates arguments and performs the

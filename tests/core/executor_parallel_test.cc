@@ -33,14 +33,13 @@ struct RunResult {
 RunResult RunOnce(SmallVectorJoin& fixture,
                   const std::vector<Cluster>& clusters,
                   const std::vector<uint32_t>& order, uint32_t buffer,
-                  uint32_t num_threads, bool prefetch = true) {
+                  uint32_t num_threads) {
   RunResult result;
   const IoStats io_before = fixture.disk().stats();
   BufferPool pool(&fixture.disk(), buffer);
   CollectingSink sink;
   ExecutorOptions options;
   options.num_threads = num_threads;
-  options.prefetch_next_cluster = prefetch;
   result.status = ExecuteClusteredJoin(fixture.input(), clusters, order,
                                        &pool, &sink, &result.ops, options);
   result.pairs = sink.pairs();
@@ -76,9 +75,9 @@ TEST_P(ExecutorParallelTest, MatchesSerialOnSeededWorkload) {
 }
 
 TEST_P(ExecutorParallelTest, MatchesSerialWhenPrefetchRarelyFits) {
-  // A buffer barely larger than the biggest cluster forces the prefetch
-  // feasibility check to decline often, exercising the serial-position
-  // fallback path. Stats must still match exactly.
+  // A buffer barely larger than the biggest cluster: nearly every pin
+  // evicts, so residency turns over at each cluster boundary. Stats must
+  // still match exactly.
   const uint32_t threads = GetParam();
   SmallVectorJoin fixture(300, 300, 33, 0.06);
   uint32_t buffer = 8;
@@ -96,8 +95,8 @@ TEST_P(ExecutorParallelTest, MatchesSerialWhenPrefetchRarelyFits) {
 }
 
 TEST_P(ExecutorParallelTest, MatchesSerialWithRoomyBuffer) {
-  // A roomy buffer lets every prefetch proceed; the overlap must still be
-  // accounting-neutral.
+  // A roomy buffer keeps most pages resident across clusters; the shared
+  // pages must be charged identically.
   const uint32_t threads = GetParam();
   SmallVectorJoin fixture(300, 250, 45, 0.05);
   const uint32_t buffer = 48;
@@ -108,23 +107,6 @@ TEST_P(ExecutorParallelTest, MatchesSerialWithRoomyBuffer) {
   ASSERT_TRUE(serial.status.ok());
   const RunResult parallel =
       RunOnce(fixture, clusters, order, buffer, threads);
-  ASSERT_TRUE(parallel.status.ok());
-  EXPECT_EQ(parallel.pairs, serial.pairs);
-  EXPECT_EQ(parallel.io, serial.io);
-  EXPECT_EQ(parallel.ops, serial.ops);
-}
-
-TEST_P(ExecutorParallelTest, MatchesSerialWithPrefetchDisabled) {
-  const uint32_t threads = GetParam();
-  SmallVectorJoin fixture(250, 250, 57, 0.05);
-  const uint32_t buffer = 12;
-  const auto clusters = SquareClustering(fixture.matrix(), buffer, nullptr);
-  const auto order = ScheduleClusters(clusters, fixture.input(), nullptr);
-
-  const RunResult serial = RunOnce(fixture, clusters, order, buffer, 1);
-  ASSERT_TRUE(serial.status.ok());
-  const RunResult parallel = RunOnce(fixture, clusters, order, buffer,
-                                     threads, /*prefetch=*/false);
   ASSERT_TRUE(parallel.status.ok());
   EXPECT_EQ(parallel.pairs, serial.pairs);
   EXPECT_EQ(parallel.io, serial.io);
@@ -181,67 +163,6 @@ TEST(ExecutorParallelTest, ExternalThreadPoolReused) {
     EXPECT_EQ(sink.pairs(), serial.pairs);
     EXPECT_EQ(fixture.disk().stats().Delta(io_before), serial.io);
     EXPECT_EQ(ops, serial.ops);
-  }
-}
-
-TEST(ExecutorParallelTest, PrefetchDeclinedWhenBatchPagesAreTheVictims) {
-  // Regression: the prefetch gate must not count the next cluster's own
-  // resident-unpinned pages as eviction victims — PinBatch pins them
-  // before admitting any miss, so they can never be evicted on behalf of
-  // that batch. With capacity 4, after clusters {r0,s0} and {r1,s1} the
-  // pool holds four pages with r0,s0 unpinned; prefetching {r0,s2,s3}
-  // while {r1,s1} is still pinned needs two evictions but only s0 is a
-  // real victim (r0 belongs to the batch). A gate that merely compares
-  // evictions against UnpinnedCount() admits the pin, which then fails
-  // mid-batch with BufferFull and aborts the parallel run where the
-  // serial run succeeds. The fixed gate defers to the serial position,
-  // where the just-unpinned {r1,s1} supply the victims.
-  class NullJoiner : public PagePairJoiner {
-   public:
-    void JoinPages(uint32_t, uint32_t, PairSink*, OpCounters*) override {}
-    void ChargeScanned(uint32_t, uint32_t, OpCounters*) const override {}
-  };
-  NullJoiner joiner;
-
-  Cluster c0;
-  c0.rows = {0};
-  c0.cols = {0};
-  c0.entries = {MatrixEntry{0, 0}};
-  Cluster c1;
-  c1.rows = {1};
-  c1.cols = {1};
-  c1.entries = {MatrixEntry{1, 1}};
-  Cluster c2;
-  c2.rows = {0};
-  c2.cols = {2, 3};
-  c2.entries = {MatrixEntry{0, 2}, MatrixEntry{0, 3}};
-  const std::vector<Cluster> clusters{c0, c1, c2};
-  const std::vector<uint32_t> order{0, 1, 2};
-
-  IoStats serial_io;
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    SimulatedDisk disk;
-    disk.CreateFile("r", 2);
-    disk.CreateFile("s", 4);
-    JoinInput input;
-    input.r_file = 0;
-    input.s_file = 1;
-    input.r_pages = 2;
-    input.s_pages = 4;
-    input.joiner = &joiner;
-    BufferPool pool(&disk, 4);
-    CountingSink sink;
-    ExecutorOptions options;
-    options.num_threads = threads;
-    const Status st = ExecuteClusteredJoin(input, clusters, order, &pool,
-                                           &sink, nullptr, options);
-    ASSERT_TRUE(st.ok()) << "threads=" << threads << ": " << st.message();
-    EXPECT_EQ(pool.PinnedCount(), 0u) << "threads=" << threads;
-    if (threads == 1) {
-      serial_io = disk.stats();
-    } else {
-      EXPECT_EQ(disk.stats(), serial_io) << "threads=" << threads;
-    }
   }
 }
 

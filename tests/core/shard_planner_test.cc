@@ -116,7 +116,9 @@ void CheckPlanInvariants(const ShardPlan& plan,
   for (const Cluster& c : clusters) marked += c.entries.size();
   EXPECT_EQ(entries, marked);
 
-  if (!clusters.empty()) EXPECT_GE(plan.balance_ratio, 1.0);
+  if (!clusters.empty()) {
+    EXPECT_GE(plan.balance_ratio, 1.0);
+  }
 }
 
 TEST(ShardPlannerTest, SingleShardKeepsAllSharing) {

@@ -253,6 +253,44 @@ TEST(JoinDriverTest, TimeSeriesHierarchicalAndFlatMatricesAgree) {
   EXPECT_EQ(hier_sink.Sorted(), flat_sink.Sorted());
 }
 
+TEST(JoinDriverTest, ReusedDriverSeesStoreRebuiltAtSameAddress) {
+  // The driver caches each sequence store's page tree. A store destroyed
+  // and rebuilt in place has the old store's address but new pages, so a
+  // cache keyed by address would build the matrix from the old tree.
+  std::unique_ptr<StorageBackend> disk = testing_util::MakeTestBackend();
+  JoinOptions options = BaseOptions(Algorithm::kSc, 8);
+  options.page_size_bytes = 1024;
+  const double eps = 0.2;
+  std::optional<TimeSeriesStore> store;
+  store.emplace(TimeSeriesStore::Build(disk.get(), "first",
+                                       GenRandomWalk(4000, 1), 64, 8, 1024)
+                    .value());
+  JoinDriver reused(disk.get());
+  CountingSink first_sink;
+  ASSERT_TRUE(
+      reused.RunTimeSeries(*store, *store, eps, options, &first_sink).ok());
+
+  std::vector<float> shifted = GenRandomWalk(4000, 2);
+  for (float& v : shifted) v += 50.0f;
+  store.reset();
+  store.emplace(TimeSeriesStore::Build(disk.get(), "second", shifted, 64, 8,
+                                       1024)
+                    .value());
+  CollectingSink reused_sink;
+  auto reused_report =
+      reused.RunTimeSeries(*store, *store, eps, options, &reused_sink);
+  ASSERT_TRUE(reused_report.ok()) << reused_report.status().ToString();
+
+  JoinDriver fresh(disk.get());
+  CollectingSink fresh_sink;
+  auto fresh_report =
+      fresh.RunTimeSeries(*store, *store, eps, options, &fresh_sink);
+  ASSERT_TRUE(fresh_report.ok()) << fresh_report.status().ToString();
+  EXPECT_GT(fresh_sink.pairs().size(), 0u);
+  EXPECT_EQ(reused_sink.Sorted(), fresh_sink.Sorted());
+  EXPECT_EQ(reused_report->marked_entries, fresh_report->marked_entries);
+}
+
 TEST(JoinDriverTest, PbsmRejectedForSequenceData) {
   SimulatedDisk disk;
   const std::vector<uint8_t> a = GenDnaSequence(300, 81);

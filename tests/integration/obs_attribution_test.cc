@@ -114,17 +114,27 @@ TEST(ObsAttributionTest, ExpectedPhasesArePresent) {
 }
 
 TEST(ObsAttributionTest, WorkerSpansAppearAtHigherThreadCounts) {
-  const RunResult run = RunOnce(Algorithm::kSc, 4, /*observed=*/true);
-  bool saw_worker_chunk = false;
-  for (const obs::PhaseRow& row : run.report.phases()) {
-    if (row.name == "join_entries") {
-      saw_worker_chunk = true;
-      // Worker-track spans never carry I/O — all disk traffic is on the
-      // coordinator, which is what makes the ledger race-free.
-      EXPECT_FALSE(row.has_io);
+  for (uint32_t threads : {1u, 4u}) {
+    const RunResult run = RunOnce(Algorithm::kSc, threads, /*observed=*/true);
+    bool saw_join_entries = false;
+    for (const obs::PhaseRow& row : run.report.phases()) {
+      if (row.name != "join_entries") continue;
+      saw_join_entries = true;
+      if (threads == 1) {
+        // Inline on the session thread: the span is tracked but moves no
+        // pages, so the pin and join-CPU phases stay separable.
+        EXPECT_TRUE(row.has_io);
+        EXPECT_EQ(row.io, IoStats());
+      } else {
+        // Worker-track spans never carry I/O — all disk traffic is on the
+        // coordinator, which is what makes the ledger race-free.
+        EXPECT_FALSE(row.has_io) << "threads=" << threads;
+      }
     }
+    EXPECT_TRUE(saw_join_entries) << "threads=" << threads;
+    EXPECT_EQ(LedgerSum(run.report), run.report.io_totals())
+        << "threads=" << threads;
   }
-  EXPECT_TRUE(saw_worker_chunk);
 }
 #endif  // PMJOIN_OBS_ENABLED
 

@@ -203,23 +203,6 @@ TEST(FileBackendStagingTest, DropStagedKeepsMeasuredBytes) {
   EXPECT_EQ(backend->stats(), io_before);
 }
 
-TEST(FileBackendStagingTest, AdviseWillNeedCountsFadviseCalls) {
-  uint32_t file = 0;
-  auto backend = MakeBackend("fadvise", &file);
-  const uint64_t before = backend->measured().fadvise_calls;
-  backend->AdviseWillNeed({file, 0}, 3);
-#if defined(POSIX_FADV_WILLNEED)
-  EXPECT_EQ(backend->measured().fadvise_calls, before + 1);
-#else
-  EXPECT_EQ(backend->measured().fadvise_calls, before);
-#endif
-  // Invalid ranges are ignored without counting.
-  const uint64_t after_valid = backend->measured().fadvise_calls;
-  backend->AdviseWillNeed({file, kPages}, 1);
-  backend->AdviseWillNeed({file + 7, 0}, 1);
-  EXPECT_EQ(backend->measured().fadvise_calls, after_valid);
-}
-
 TEST(SimulatedDiskStagingTest, DeclinesStaging) {
   SimulatedDisk disk;
   disk.CreateFile("d", 4);

@@ -292,7 +292,9 @@ TEST(ServerConcordanceTest, MixedEpsAndKnnStreamSharesArtifacts) {
                      "job " + std::to_string(i) +
                          (jobs[i].k > 0 ? " knn" : " eps"));
     EXPECT_EQ(served.row.k, jobs[i].k) << i;
-    if (jobs[i].k > 0) EXPECT_EQ(served.row.engine, "knn") << i;
+    if (jobs[i].k > 0) {
+      EXPECT_EQ(served.row.engine, "knn") << i;
+    }
   }
 
   // One kNN matrix build per dataset pair — (r,s), (r,r), and the uniform
